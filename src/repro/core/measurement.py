@@ -134,9 +134,10 @@ class _Benchmark:
     trace: ExecutionTrace
     translations: Dict[int, TranslationFile]
 
-    def translation(self, slots: int) -> TranslationFile:
+    def translation(self, slots: int, tracer=NULL_TRACER) -> TranslationFile:
         if slots not in self.translations:
-            self.translations[slots] = TranslationFile(self.compiled, slots)
+            with tracer.span("sched.translate", bench=self.spec.name, slots=slots):
+                self.translations[slots] = TranslationFile(self.compiled, slots)
         return self.translations[slots]
 
 
@@ -279,7 +280,12 @@ class SuiteMeasurement:
         )
 
     def _load_or_run_trace(self, spec: BenchmarkSpec, budget: int) -> ExecutionTrace:
-        compiled = CompiledProgram(synthesize_program(spec, seed=self.seed))
+        # The static front-end: synthesis and lowering run under spans of
+        # their own, so their cost is named in the session's ledger.
+        with self.tracer.span("program.synthesize", bench=spec.name):
+            program = synthesize_program(spec, seed=self.seed)
+        with self.tracer.span("program.compile", bench=spec.name):
+            compiled = CompiledProgram(program)
         key = self._trace_key(spec, budget)
 
         def stream_trace(writer) -> None:
@@ -462,7 +468,9 @@ class SuiteMeasurement:
     def code_expansion_pct(self, slots: int) -> float:
         """Suite-average static code growth for ``slots`` (Table 2)."""
         base = sum(b.compiled.static_words for b in self.benchmarks)
-        grown = sum(b.translation(slots).code_words for b in self.benchmarks)
+        grown = sum(
+            b.translation(slots, self.tracer).code_words for b in self.benchmarks
+        )
         return 100.0 * (grown - base) / base
 
     def branch_stats(self, slots: int) -> BranchDelayStats:
@@ -470,7 +478,7 @@ class SuiteMeasurement:
 
         def aggregate() -> BranchDelayStats:
             parts = [
-                branch_delay_stats(b.trace, b.translation(slots))
+                branch_delay_stats(b.trace, b.translation(slots, self.tracer))
                 for b in self.benchmarks
             ]
             return BranchDelayStats(
@@ -537,7 +545,8 @@ class SuiteMeasurement:
                 shift = log2_int(block_words * WORD_BYTES)
                 sequences = []
                 for bench in self.benchmarks:
-                    stream = expand_istream(bench.trace, bench.translation(slots))
+                    translation = bench.translation(slots, self.tracer)
+                    stream = expand_istream(bench.trace, translation)
                     blocks = stream.cache_block_sequence(block_words * WORD_BYTES)
                     blocks = blocks + (address_space_offset(bench.index) >> shift)
                     sequences.append(blocks)

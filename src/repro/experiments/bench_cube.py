@@ -247,7 +247,7 @@ def run_benchmark(
         )
     ledger.set_run_info(
         benchmark="miss-cube",
-        scale=(registry or _default_registry()).resolve_scale(scale),
+        scale=_registry_or_default(registry).resolve_scale(scale),
         seed=getattr(measurement, "seed", None),
         total_instructions=getattr(measurement, "total_instructions", None),
         grid_references=references,
@@ -451,10 +451,14 @@ def run_scale_benchmark(
     return ledger
 
 
-def _default_registry() -> SessionRegistry:
+def _registry_or_default(registry: Optional[SessionRegistry]) -> SessionRegistry:
+    """``registry``, or the shared default when none was given.
+
+    Tested against ``None``: an empty ``SessionRegistry`` is falsy.
+    """
     from repro.engine.session import DEFAULT_REGISTRY
 
-    return DEFAULT_REGISTRY
+    return registry if registry is not None else DEFAULT_REGISTRY
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -43,9 +43,13 @@ def get_measurement(
     The scale defaults to the ``REPRO_SCALE`` environment variable, then
     to ``full``; ``jobs`` sizes the session's sweep executor and
     ``cube_jobs`` its set-partitioned miss-cube builds.  Callers needing
-    isolation pass their own registry.
+    isolation pass their own registry.  An empty registry is still the
+    caller's: ``SessionRegistry`` defines ``__len__``, so it is tested
+    against ``None``, not for truth.
     """
-    return (registry or DEFAULT_REGISTRY).get(scale, jobs=jobs, cube_jobs=cube_jobs)
+    if registry is None:
+        registry = DEFAULT_REGISTRY
+    return registry.get(scale, jobs=jobs, cube_jobs=cube_jobs)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional, Tuple
 
-from repro.isa.opcodes import Opcode, OpcodeKind, OpcodeInfo, opcode_info
+from repro.isa.opcodes import Opcode, OpcodeKind, OpcodeInfo
 from repro.isa.registers import Register, RA, ZERO
 
 __all__ = ["Instruction", "nop"]
@@ -40,42 +40,41 @@ class Instruction:
     offset: int = 0
     target: Optional[str] = None
 
+    # Every predicate is one attribute read of the flags precomputed on
+    # the opcode member (see :mod:`repro.isa.opcodes`).
+
     @property
     def info(self) -> OpcodeInfo:
         """Static opcode properties."""
-        return opcode_info(self.opcode)
+        return self.opcode.info
 
     @property
     def kind(self) -> OpcodeKind:
-        return self.info.kind
+        return self.opcode.kind
 
     # -- category predicates -------------------------------------------------
 
     @property
     def is_load(self) -> bool:
-        return self.kind is OpcodeKind.LOAD
+        return self.opcode.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.kind is OpcodeKind.STORE
+        return self.opcode.is_store
 
     @property
     def is_memory(self) -> bool:
         """True for any instruction that issues a data reference."""
-        return self.is_load or self.is_store
+        return self.opcode.is_memory
 
     @property
     def is_cti(self) -> bool:
         """True for any control-transfer instruction (the paper's CTI)."""
-        return self.kind in (
-            OpcodeKind.BRANCH,
-            OpcodeKind.JUMP,
-            OpcodeKind.JUMP_REGISTER,
-        )
+        return self.opcode.is_cti
 
     @property
     def is_conditional_branch(self) -> bool:
-        return self.kind is OpcodeKind.BRANCH
+        return self.opcode.is_branch
 
     @property
     def is_register_indirect(self) -> bool:
@@ -84,16 +83,20 @@ class Instruction:
         Delay slots of these CTIs can only be filled from before the CTI or
         with noops (Section 3.1, step 4 of the insertion procedure).
         """
-        return self.kind is OpcodeKind.JUMP_REGISTER
+        return self.opcode.is_indirect
 
     @property
     def is_unconditional(self) -> bool:
         """True for CTIs that always transfer control."""
-        return self.kind in (OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
+        return self.opcode.is_unconditional
+
+    @property
+    def is_syscall(self) -> bool:
+        return self.opcode.is_syscall
 
     @property
     def is_nop(self) -> bool:
-        return self.kind is OpcodeKind.NOP
+        return self.opcode.is_nop
 
     # -- def/use -------------------------------------------------------------
 
@@ -108,7 +111,7 @@ class Instruction:
         written = set()
         if self.dest is not None and not self.dest.is_zero:
             written.add(self.dest)
-        if self.info.links:
+        if self.opcode.links:
             written.add(self.dest if self.dest is not None else RA)
         return frozenset(written)
 

@@ -6,6 +6,13 @@ conditional branch, an unconditional jump, or a register-indirect jump.  The
 cache and scheduling experiments never interpret instruction *semantics*
 beyond register def/use and memory access, so no execution behaviour is
 encoded here.
+
+The same properties are also set once, as plain attributes, on every
+:class:`Opcode` member (``Opcode.LW.is_load``, ``Opcode.JAL.links``, ...).
+Synthesis, lowering and scheduling ask them of every instruction, and an
+attribute read on the member is an order of magnitude cheaper than a
+table lookup (which hashes the enum) followed by a comparison against an
+:class:`OpcodeKind` class attribute.
 """
 
 from __future__ import annotations
@@ -106,6 +113,21 @@ class Opcode(enum.Enum):
     NOP = "nop"
     SYSCALL = "syscall"
 
+    # Static properties, set on every member from OPCODE_TABLE at import
+    # (annotations only, so they are not enum members themselves).
+    info: "OpcodeInfo"
+    kind: OpcodeKind
+    links: bool
+    is_load: bool
+    is_store: bool
+    is_memory: bool
+    is_branch: bool
+    is_indirect: bool
+    is_unconditional: bool
+    is_cti: bool
+    is_nop: bool
+    is_syscall: bool
+
 
 @dataclass(frozen=True)
 class OpcodeInfo:
@@ -192,9 +214,30 @@ OPCODE_TABLE: Dict[Opcode, OpcodeInfo] = {
 _BY_MNEMONIC: Dict[str, Opcode] = {op.value: op for op in Opcode}
 
 
+def _set_flags() -> None:
+    """Precompute each opcode's class flags as attributes on its member."""
+    for op, info in OPCODE_TABLE.items():
+        kind = info.kind
+        op.info = info
+        op.kind = kind
+        op.links = info.links
+        op.is_load = kind is OpcodeKind.LOAD
+        op.is_store = kind is OpcodeKind.STORE
+        op.is_memory = op.is_load or op.is_store
+        op.is_branch = kind is OpcodeKind.BRANCH
+        op.is_indirect = kind is OpcodeKind.JUMP_REGISTER
+        op.is_unconditional = kind in (OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
+        op.is_cti = op.is_branch or op.is_unconditional
+        op.is_nop = kind is OpcodeKind.NOP
+        op.is_syscall = kind is OpcodeKind.SYSCALL
+
+
+_set_flags()
+
+
 def opcode_info(opcode: Opcode) -> OpcodeInfo:
     """Look up the static properties of ``opcode``."""
-    return OPCODE_TABLE[opcode]
+    return opcode.info
 
 
 def parse_opcode(mnemonic: str) -> Opcode:

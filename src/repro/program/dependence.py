@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import Register
 
 __all__ = [
@@ -92,7 +91,7 @@ def cti_hoist_distance(instructions: Sequence[Instruction]) -> int:
     needed: Set[Register] = set(cti.uses)
     distance = 0
     for inst in reversed(instructions[:-1]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+        if inst.is_cti or inst.is_syscall:
             break
         if inst.defs & needed:
             break
@@ -114,7 +113,7 @@ def independent_prefix_length(
     needed: Set[Register] = set(target.uses)
     count = 0
     for inst in reversed(instructions[:position]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+        if inst.is_cti or inst.is_syscall:
             break
         if inst.defs & needed:
             break

@@ -14,40 +14,50 @@ For an architecture with ``b`` branch delay slots, each CTI gets:
    in place (no growth); for register-indirect jumps they hold noops
    (growth ``s``, and nothing can be skipped at the target) — step 4.
 
-The output is one :class:`CtiSchedule` per block, the raw material for
-:class:`~repro.sched.translation.TranslationFile` and for the static
-code-size measurements of Table 2.
+Only the ``r``/``s`` split depends on ``b``; the hoist distances and
+predictions are computed once per program by
+:class:`~repro.trace.compiled.CompiledProgram`.  :func:`delay_slot_split`
+turns them into per-block arrays for
+:class:`~repro.sched.translation.TranslationFile`;
+:func:`schedule_ctis` is the same result as one :class:`CtiSchedule` per
+CTI, for the static fill statistics of Section 3.1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.program.dependence import cti_hoist_distance
-from repro.trace.compiled import BlockKind, CompiledProgram
+from repro.trace.compiled import CompiledProgram
 
-__all__ = ["CtiSchedule", "schedule_ctis", "code_expansion_pct", "fill_statistics"]
-
-# Step 1 of the paper's procedure: when the original MIPS compiler left a
-# noop after a CTI, the post-processor sets r = 0 (the slot is unfillable
-# from before).  Our simplified dependence model cannot see the alignment
-# and liveness constraints that made ~46 % of real first slots unfillable —
-# it would hoist almost every direct jump — so the same effect is modelled
-# by declaring this fraction of direct jumps/calls unfillable, chosen
-# deterministically per block.  Calibrated against the paper's measured
-# 54 % overall / 52 % predicted-taken first-slot fill rates.
-JUMP_UNFILLABLE_FRAC = 0.45
-
-_HASH_MULTIPLIER = 2654435761  # Knuth multiplicative hash
+__all__ = [
+    "CtiSchedule",
+    "delay_slot_split",
+    "schedule_ctis",
+    "code_expansion_pct",
+    "fill_statistics",
+]
 
 
-def _jump_is_unfillable(block_id: int) -> bool:
-    """Deterministic pseudo-random choice, stable across runs."""
-    return ((block_id * _HASH_MULTIPLIER) & 0xFFFFFFFF) / 2**32 < JUMP_UNFILLABLE_FRAC
+def delay_slot_split(
+    compiled: CompiledProgram, slots: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-block ``(r, s)`` for ``slots`` branch delay slots.
+
+    ``r = min(slots, hoist)`` slots are filled from before the CTI and
+    the other ``s = slots - r`` as step 3/4 dictate; both are 0 for
+    blocks without a CTI.  Only this step depends on ``slots``: the
+    hoist distances and predictions are the program's own
+    (:class:`~repro.trace.compiled.CompiledProgram`), computed once.
+    """
+    if slots < 0:
+        raise ScheduleError(f"number of delay slots must be >= 0, got {slots}")
+    r = np.minimum(compiled.hoist, slots).astype(np.int32)
+    s = np.where(compiled.has_cti, slots - r, 0).astype(np.int32)
+    return r, s
 
 
 @dataclass(frozen=True)
@@ -88,59 +98,23 @@ def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedul
     """Schedule every terminating CTI for ``slots`` branch delay slots.
 
     Returns a mapping from block id to its schedule; blocks without a
-    terminating CTI are absent.
+    terminating CTI are absent.  A per-CTI view of
+    :func:`delay_slot_split` and the program's prediction flags, for
+    analyses such as :func:`fill_statistics`.
     """
-    if slots < 0:
-        raise ScheduleError(f"number of delay slots must be >= 0, got {slots}")
-    schedules: Dict[int, CtiSchedule] = {}
-    if slots == 0:
-        # Zero-slot architecture: the canonical code *is* the translation.
-        for block_id, kind in enumerate(compiled.kinds):
-            if kind != BlockKind.FALLTHROUGH:
-                schedules[block_id] = CtiSchedule(
-                    block_id,
-                    r=0,
-                    s=0,
-                    predicted_taken=_predicted_taken(compiled, block_id),
-                    indirect=_is_indirect(compiled, block_id),
-                )
-        return schedules
-
-    for block_id, kind in enumerate(compiled.kinds):
-        if kind == BlockKind.FALLTHROUGH:
-            continue
-        if kind in (BlockKind.JUMP, BlockKind.CALL) and _jump_is_unfillable(block_id):
-            hoist = 0
-        else:
-            instructions = compiled.block_instructions(block_id)
-            hoist = cti_hoist_distance(instructions)
-        r = min(slots, hoist)
-        schedules[block_id] = CtiSchedule(
+    r, s = delay_slot_split(compiled, slots)
+    taken = compiled.predicted_taken
+    indirect = compiled.indirect
+    return {
+        block_id: CtiSchedule(
             block_id,
-            r=r,
-            s=slots - r,
-            predicted_taken=_predicted_taken(compiled, block_id),
-            indirect=_is_indirect(compiled, block_id),
+            r=int(r[block_id]),
+            s=int(s[block_id]),
+            predicted_taken=bool(taken[block_id]),
+            indirect=bool(indirect[block_id]),
         )
-    return schedules
-
-
-def _is_indirect(compiled: CompiledProgram, block_id: int) -> bool:
-    return compiled.kinds[block_id] in (
-        BlockKind.RETURN,
-        BlockKind.COMPUTED_GOTO,
-        BlockKind.INDIRECT_CALL,
-    )
-
-
-def _predicted_taken(compiled: CompiledProgram, block_id: int) -> bool:
-    """Step 3: backward branches and unconditional CTIs predicted taken."""
-    kind = compiled.kinds[block_id]
-    if kind != BlockKind.CONDITIONAL:
-        return True  # jumps, calls, returns, computed gotos always transfer
-    target = compiled.taken_ids[block_id]
-    # Backward edge: target at or before this block in layout order.
-    return bool(target >= 0 and target <= block_id)
+        for block_id in np.flatnonzero(compiled.has_cti).tolist()
+    }
 
 
 def code_expansion_pct(

@@ -10,13 +10,11 @@ address and length, the ``s`` value, and the prediction flag.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
-from repro.trace.compiled import BlockKind, CompiledProgram
+from repro.sched.branch_schedule import delay_slot_split
+from repro.trace.compiled import CompiledProgram
 from repro.utils.units import WORD_BYTES
 
 __all__ = ["TranslationFile"]
@@ -44,21 +42,16 @@ class TranslationFile:
             raise ScheduleError("slots must be >= 0")
         self.compiled = compiled
         self.slots = slots
-        self.schedules: Dict[int, CtiSchedule] = schedule_ctis(compiled, slots)
-        n = len(compiled)
-        self.s_values = np.zeros(n, dtype=np.int32)
-        self.r_values = np.zeros(n, dtype=np.int32)
-        self.skip_words = np.zeros(n, dtype=np.int32)
-        self.predicted_taken = np.zeros(n, dtype=bool)
-        self.indirect = np.zeros(n, dtype=bool)
-        growth = np.zeros(n, dtype=np.int32)
-        for block_id, schedule in self.schedules.items():
-            self.s_values[block_id] = schedule.s
-            self.r_values[block_id] = schedule.r
-            self.skip_words[block_id] = schedule.skip
-            self.predicted_taken[block_id] = schedule.predicted_taken
-            self.indirect[block_id] = schedule.indirect
-            growth[block_id] = schedule.growth
+        self.r_values, self.s_values = delay_slot_split(compiled, slots)
+        self.predicted_taken = compiled.predicted_taken
+        self.indirect = compiled.indirect
+        # Step 4: predicted-taken and indirect CTIs grow by s (replicated
+        # target words / noops); only direct predicted-taken CTIs skip
+        # the replicated words at their target.
+        growth = np.where(self.predicted_taken | self.indirect, self.s_values, 0)
+        self.skip_words = np.where(
+            self.predicted_taken & ~self.indirect, self.s_values, 0
+        )
         self.new_lengths = compiled.lengths + growth
         starts = np.concatenate(([0], np.cumsum(self.new_lengths)[:-1]))
         self.new_addresses = (

@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.isa.opcodes import OpcodeKind
 from repro.program.cfg import Program
 from repro.trace.compiled import BlockKind, CompiledProgram
 
@@ -93,7 +92,7 @@ def analyze_program(program: Program) -> ProgramStatistics:
                 categories["store"] += 1
             elif inst.is_cti:
                 categories["cti"] += 1
-            elif inst.kind is OpcodeKind.SYSCALL:
+            elif inst.is_syscall:
                 categories["syscall"] += 1
             elif inst.is_nop:
                 categories["nop"] += 1

@@ -22,7 +22,9 @@ Register discipline (which makes the dependence analysis meaningful):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -59,6 +61,25 @@ _CONSTRUCT_WEIGHTS = {
     "indirect_call": 0.04,
 }
 
+
+def _choice_cdf(weights: Sequence[float]) -> List[float]:
+    """The inverse-CDF table ``rng.choice(n, p=p)`` builds for ``weights``.
+
+    ``p`` is ``weights`` normalized by numpy, as the caller of ``choice``
+    did; ``choice`` then divides the sequential cumulative sum by its
+    last element.  ``bisect_right(cdf, rng.random())`` over the result
+    draws the same index as ``choice`` from the same single uniform.
+    """
+    p = np.array(weights, dtype=np.float64)
+    p /= p.sum()
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_CONSTRUCT_NAMES = list(_CONSTRUCT_WEIGHTS)
+_CONSTRUCT_CDF = _choice_cdf([_CONSTRUCT_WEIGHTS[n] for n in _CONSTRUCT_NAMES])
+
 # Load positions are skewed toward the start of a block and stores toward
 # the end (compilers schedule loads early, stores late).  The skew shapes
 # the static epsilon distribution of Figure 7 without changing the mix:
@@ -69,6 +90,42 @@ _LOAD_EARLY_WEIGHT = 1.5  # relative weight at block start, decaying to 0.5
 _STORE_LATE_WEIGHT = 0.5  # relative weight at block start, growing to 1.5
 
 
+def _sample_without_replacement(
+    rng: np.random.Generator, p: Sequence[float], size: int
+) -> List[int]:
+    """``size`` distinct indices of ``p``, drawn with probabilities ``p``.
+
+    A pure-Python replica of ``rng.choice(len(p), size, replace=False,
+    p=p)`` for a normalized ``p``: the same indices in the same order,
+    from the same draws, leaving ``rng`` in the same state.  Each round
+    draws one uniform per missing index, zeroes the mass of the indices
+    already found, inverts the sequential cumulative sum (normalized by
+    its last element) with ``bisect_right``, and keeps each new index at
+    its first occurrence in draw order — numpy's algorithm, without the
+    per-call argument handling that dominated synthesis.  Pinned to
+    ``Generator.choice`` by ``tests/workload/test_sampler.py``.
+    """
+    # The arguments choice() itself would reject.
+    if not all(0.0 <= w < math.inf for w in p):
+        raise ValueError("probabilities must be finite and non-negative")
+    if sum(w > 0.0 for w in p) < size:
+        raise ValueError("fewer non-zero entries in p than size")
+    p = list(p)
+    found: List[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for index in found:
+            p[index] = 0.0
+        cdf = list(accumulate(p))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        fresh: List[int] = []
+        for draw in draws:
+            index = bisect_right(cdf, draw)
+            if index not in fresh:
+                fresh.append(index)
+        found.extend(fresh)
+    return found
 
 
 class _Synthesizer:
@@ -178,13 +235,17 @@ class _Synthesizer:
             return []
         span = max(1, length - 1)
         if early:
-            weights = np.array([_LOAD_EARLY_WEIGHT - i / span for i in free])
+            raw = [max(_LOAD_EARLY_WEIGHT - i / span, 0.05) for i in free]
         else:
-            weights = np.array([_STORE_LATE_WEIGHT + i / span for i in free])
-        weights = np.maximum(weights, 0.05)
+            raw = [max(_STORE_LATE_WEIGHT + i / span, 0.05) for i in free]
+        # Normalized in numpy: its pairwise sum is not a sequential one,
+        # and the sampler must see the very weights choice() was given.
+        weights = np.array(raw)
         weights /= weights.sum()
-        chosen = self.rng.choice(len(free), size=min(count, len(free)), replace=False, p=weights)
-        return sorted(free[int(c)] for c in chosen)
+        chosen = _sample_without_replacement(
+            self.rng, weights.tolist(), min(count, len(free))
+        )
+        return sorted(free[c] for c in chosen)
 
     # -- block body construction ---------------------------------------------
 
@@ -330,11 +391,8 @@ class _Synthesizer:
     ) -> int:
         """Append constructs to ``blocks`` until ``budget`` words are used."""
         used = 0
-        names = list(_CONSTRUCT_WEIGHTS)
-        weights = np.array([_CONSTRUCT_WEIGHTS[n] for n in names])
-        weights /= weights.sum()
         while used < budget:
-            kind = names[int(self.rng.choice(len(names), p=weights))]
+            kind = _CONSTRUCT_NAMES[bisect_right(_CONSTRUCT_CDF, self.rng.random())]
             if kind == "loop" and depth < 1:
                 used += self._loop(proc_index, min(budget - used, budget // 2 + 8), depth, blocks)
             elif kind == "diamond":

@@ -202,3 +202,64 @@ class TestCli:
             main(["--run-dir", run_dir, "--shard-size", "0", "table2"])
         with pytest.raises(SystemExit):
             main(["--run-dir", run_dir, "--inject-fault", "explode:0", "table2"])
+
+
+def _span_names(spans):
+    names = set()
+    for span in spans:
+        names.add(span["name"])
+        names |= _span_names(span.get("children", []))
+    return names
+
+
+class TestFrontEndSpans:
+    """Synthesis, lowering and translation are named in the ledger."""
+
+    @staticmethod
+    def _fresh_registry():
+        from repro.core import SuiteMeasurement
+        from repro.workload import benchmark_by_name
+
+        session = SuiteMeasurement(
+            specs=[benchmark_by_name("small")],
+            total_instructions=20_000,
+            use_disk_cache=False,
+        )
+        registry = SessionRegistry({"quick": 20_000})
+        registry.set("quick", session)
+        return registry, session
+
+    def test_quick_run_records_front_end_spans(self, tmp_path):
+        registry, _ = self._fresh_registry()
+        metrics = tmp_path / "m.json"
+        run_experiments(
+            ["table2"], scale="quick", stream=io.StringIO(),
+            registry=registry, metrics_path=metrics,
+        )
+        names = _span_names(RunLedger.load(metrics)["spans"])
+        assert {"program.synthesize", "program.compile", "sched.translate"} <= names
+
+    def test_untraced_front_end_records_nothing(self):
+        from repro.obs import NULL_TRACER
+
+        registry, session = self._fresh_registry()
+        run_experiments(
+            ["table2"], scale="quick", stream=io.StringIO(), registry=registry
+        )
+        assert session.tracer is NULL_TRACER
+        assert NULL_TRACER.to_list() == []
+
+
+class TestRegistryResolution:
+    def test_empty_registry_is_not_replaced_by_the_default(self):
+        """An empty ``SessionRegistry`` is falsy; it must still be used."""
+        from repro.engine.session import DEFAULT_REGISTRY
+        from repro.experiments.common import get_measurement
+
+        registry = SessionRegistry({"only-here": 20_000})
+        assert len(registry) == 0
+        sessions_before = len(DEFAULT_REGISTRY)
+        session = get_measurement("only-here", registry=registry)
+        assert registry.get("only-here") is session
+        assert session.total_instructions == 20_000
+        assert len(DEFAULT_REGISTRY) == sessions_before
