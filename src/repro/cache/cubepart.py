@@ -25,13 +25,28 @@ shift view of one shared byte-address stream, the partition key is the
 coarsest covered block size's index bits — address bits
 ``[log2(Bmax*WB), log2(Bmax*WB) + p)`` — and a geometry ``(B, S)``
 decomposes iff that window sits inside its set-index window:
-``log2(S) >= p + log2(Bmax / B)``.  The paper grid (4/8/16-word blocks,
-1–32 KW capacities) satisfies this for ``p = 3`` at every geometry.
-Set counts *below* the closure threshold (the production cubes cover
-every level down to one set) are inherently global — a single LRU stack
-over the whole stream cannot be split — so they are computed by the
-serial engine in the parent, over exactly the levels the partitions
-cannot answer (the *coarse residue*).
+``log2(S) >= p + log2(Bmax / B)``.
+
+**The partition count closes every level.**  A set count below the
+closure threshold is inherently global — a single LRU stack over the
+whole stream cannot be split — so a build never partitions past it:
+both forms use the largest power of two no greater than the requested
+``partitions`` at which *every* requested level closes
+(:func:`_closed_partitions`).  The canonical cubes of
+:class:`~repro.core.measurement.SuiteMeasurement` are floored at the
+paper grid (32/16/8 sets at 4/8/16-word blocks), which closes at the
+default eight partitions on both forms; an off-grid request reaching
+down to fewer sets simply runs with fewer partitions, down to one (the
+whole stream, reduced in-process), which is slower but just as exact.
+
+**The cross-check runs where each partition is reduced.**  Every
+partition's ``A = 1`` base is verified against the independent
+adjacent-tag sweep (:func:`~repro.cache.fastsim.
+direct_mapped_miss_sweep`) on the same substreams, in the reduce worker,
+and a disagreement is fatal.  Because every level closes, the
+per-partition counts sum exactly to the whole-stream counts, so
+per-partition agreement is whole-cube agreement; a serial build is
+``P = 1`` and its check covers the whole stream.
 
 **Out-of-core.**  :func:`partitioned_miss_cube_from_addresses` consumes
 its address stream in O(chunk) memory — an ndarray (typically a
@@ -69,7 +84,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
+from repro.cache.fastsim import direct_mapped_miss_sweep
 from repro.cache.geometry import checked_block_words, checked_levels
 from repro.cache.misscube import (
     MissCube,
@@ -93,9 +108,10 @@ __all__ = [
 ]
 
 #: Default set-partition count.  Eight partitions (three index bits)
-#: keep the whole paper grid fine-decomposable when the shared address
-#: stream is partitioned at the 16-word block size, and bound each
-#: reduce worker's memory to roughly an eighth of the serial pass.
+#: close every level of the canonical, paper-grid-floored cube on both
+#: forms (the address form partitions at the 16-word block size), and
+#: bound each reduce worker's memory to roughly an eighth of the serial
+#: pass.
 DEFAULT_PARTITIONS = 8
 
 #: Default partition-pass chunk length (references).  4M int64
@@ -139,65 +155,51 @@ def _checked_partitions(partitions: int) -> int:
     return partitions
 
 
-def _split_fine_coarse(
-    per_block: Mapping[int, Sequence[int]],
-    partition_bits: int,
+def _closed_partitions(
+    covered: Mapping[int, Sequence[int]],
+    partitions: int,
     extra_bits: Mapping[int, int],
-) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-    """Split each block size's set counts by partition closure.
+) -> int:
+    """The partition count a build actually uses.
 
-    A set count is *fine* when its set-index bit window contains every
-    partition bit (``log2(S) >= p + extra_bits[B]``, trivially true for
-    ``p == 0``): those geometries decompose exactly across partitions.
-    Everything below the threshold is *coarse residue* for the serial
-    in-parent pass.
+    A set count ``S`` at block size ``B`` decomposes across ``2^p``
+    partitions iff its set-index window holds every partition bit:
+    ``log2(S) >= p + extra_bits[B]``.  The result is the largest power
+    of two no greater than ``partitions`` at which every covered level
+    closes, so no level is ever left for a serial pass.
     """
-    fine: Dict[int, List[int]] = {}
-    coarse: Dict[int, List[int]] = {}
-    for B, counts in per_block.items():
-        levels = checked_levels(counts)
-        threshold = partition_bits + extra_bits.get(B, 0)
-        fine[B] = [
-            S for S, level in levels.items()
-            if partition_bits == 0 or level >= threshold
-        ]
-        coarse[B] = [
-            S for S, level in levels.items()
-            if not (partition_bits == 0 or level >= threshold)
-        ]
-    return fine, coarse
+    bits = log2_int(partitions)
+    for B, counts in covered.items():
+        bits = min(bits, min(checked_levels(counts).values()) - extra_bits[B])
+    return 1 << max(bits, 0)
 
 
 def _partition_hits(
     streams: Mapping[int, np.ndarray],
     set_counts: Mapping[int, Sequence[int]],
     max_ways: int,
-    cross_check: bool,
 ) -> Dict[int, Dict[int, np.ndarray]]:
-    """One partition's cube: the unmodified serial engine on its substreams.
+    """One partition's cube, cross-checked where it is reduced.
 
-    With ``cross_check``, every block size's ``A = 1`` base is verified
-    against the independent adjacent-tag sweep
-    (:func:`~repro.cache.fastsim.direct_mapped_miss_sweep`) on the same
-    substream — the per-partition equivalent of the fatal whole-cube
-    check the measurement layer runs on serial builds.
+    The unmodified serial engine runs on the partition's substreams;
+    then every block size's ``A = 1`` base must match the independent
+    adjacent-tag sweep (:func:`~repro.cache.fastsim.
+    direct_mapped_miss_sweep`) on the same substreams.  Both claim to
+    be exact by unrelated algorithms (stack distances vs. adjacent-tag
+    comparison), so a disagreement means one of them is wrong and is
+    fatal.  This is also what pins every cube-backed experiment output
+    to the retired per-axis simulation bit for bit.
     """
-    covered = {B: counts for B, counts in set_counts.items() if counts}
-    cube = miss_cube({B: streams[B] for B in covered}, covered, max_ways)
-    if cross_check:
-        for B in cube.block_words:
-            wanted = cube.set_counts(B)
-            if not wanted:
-                continue
-            axis = direct_mapped_miss_sweep(streams[B], wanted)
-            for num_sets, expected in axis.items():
-                got = cube.misses(B, num_sets, 1)
-                if got != expected:
-                    raise RuntimeError(
-                        f"partitioned cube A=1 base disagrees with the "
-                        f"direct-mapped sweep at B={B}, {num_sets} sets "
-                        f"({got} != {expected})"
-                    )
+    cube = miss_cube(streams, set_counts, max_ways)
+    for B in cube.block_words:
+        axis = direct_mapped_miss_sweep(streams[B], cube.set_counts(B))
+        for num_sets, expected in axis.items():
+            got = cube.misses(B, num_sets, 1)
+            if got != expected:
+                raise RuntimeError(
+                    f"cube A=1 base disagrees with the direct-mapped sweep "
+                    f"at B={B}, {num_sets} sets ({got} != {expected})"
+                )
     return {B: dict(cube.hits[B]) for B in cube.block_words}
 
 
@@ -213,7 +215,7 @@ def _reduce_shared(item: Tuple[Any, ...]) -> Optional[Dict[int, Dict[int, np.nda
     spawned worker, or a pool forked before the export — returns None
     and the parent recomputes the partition itself.
     """
-    token, group, partition, fine_counts, max_ways, cross_check = item
+    token, group, partition, counts, max_ways = item
     _maybe_fault(partition)
     arrays = SHARED_BUNDLES.lookup(group, f"p{partition:03d}")
     if arrays is not None:
@@ -224,7 +226,7 @@ def _reduce_shared(item: Tuple[Any, ...]) -> Optional[Dict[int, Dict[int, np.nda
         streams = _LOCAL_PARTS.get((token, partition))
     if streams is None:
         return None
-    return _partition_hits(streams, fine_counts, max_ways, cross_check)
+    return _partition_hits(streams, counts, max_ways)
 
 
 def _reduce_spilled(item: Tuple[Any, ...]) -> Dict[int, Dict[int, np.ndarray]]:
@@ -234,16 +236,15 @@ def _reduce_spilled(item: Tuple[Any, ...]) -> Dict[int, Dict[int, np.ndarray]]:
     addresses are memory-mapped from the finalized spill segment, so
     every worker (and the parent) shares one set of page-cache pages.
     """
-    digest, spill_dir, partition, blocks, fine_counts, max_ways, cross_check = item
+    digest, spill_dir, partition, counts, max_ways = item
     _maybe_fault(partition)
     arrays = load_arrays(digest, cache_dir=Path(spill_dir))
     if arrays is None:
         raise ConfigurationError(
             f"cube spill bundle {digest} vanished mid-reduce"
         )
-    addresses = arrays[f"p{partition:03d}"]
-    streams = ShiftedStreams(addresses, blocks)
-    return _partition_hits(streams, fine_counts, max_ways, cross_check)
+    streams = ShiftedStreams(arrays[f"p{partition:03d}"], tuple(counts))
+    return _partition_hits(streams, counts, max_ways)
 
 
 # -- wave-dispatched reduce with serial fallback -------------------------------
@@ -306,21 +307,30 @@ def _reduce_partitions(
 
 
 def _merge_partition_hits(
-    fine: Mapping[int, Sequence[int]],
+    blocks: Sequence[int],
+    covered: Mapping[int, Sequence[int]],
     max_ways: int,
+    references: Mapping[int, int],
     partition_hits: Iterable[Mapping[int, Mapping[int, np.ndarray]]],
-) -> Dict[int, Dict[int, np.ndarray]]:
+) -> MissCube:
     """Exact merge: per-geometry integer hit curves sum across partitions."""
-    merged: Dict[int, Dict[int, np.ndarray]] = {}
-    for B, counts in fine.items():
-        merged[B] = {
-            S: np.zeros(max_ways + 1, dtype=np.int64) for S in counts
-        }
+    merged = {
+        B: {S: np.zeros(max_ways + 1, dtype=np.int64) for S in covered.get(B, ())}
+        for B in blocks
+    }
     for hits in partition_hits:
         for B, per_sets in hits.items():
             for S, curve in per_sets.items():
                 merged[B][S] += np.asarray(curve, dtype=np.int64)
-    return merged
+    return MissCube(references=references, max_ways=max_ways, hits=merged)
+
+
+def _covered(
+    blocks: Tuple[int, ...], set_counts: SetCounts
+) -> Dict[int, Tuple[int, ...]]:
+    """The block sizes that ask for any set count, with their counts."""
+    per_block = _normalized_set_counts(blocks, set_counts)
+    return {B: tuple(per_block[B]) for B in blocks if per_block[B]}
 
 
 # -- in-memory form ------------------------------------------------------------
@@ -334,50 +344,53 @@ def partitioned_miss_cube(
     partitions: int = DEFAULT_PARTITIONS,
     executor: Optional[SweepExecutor] = None,
     tracer=None,
-    cross_check: bool = False,
 ) -> MissCube:
     """:func:`~repro.cache.misscube.miss_cube`, split across set partitions.
 
     Bit-identical to the serial engine on the same inputs.  Each block
-    size's stream is scattered by the low ``log2(partitions)`` block
-    bits; set counts ``S >= partitions`` are reduced per partition (in
-    parallel when ``executor`` is) and summed, the rest — inherently
-    global — run through the serial engine in the parent.  Partition
-    buffers reach forked workers through the shared-memory registry
+    size's stream is scattered by the low ``log2(P)`` block bits, where
+    ``P`` is the largest power of two up to ``partitions`` with every
+    requested set count ``S >= P``; each partition is reduced (in
+    parallel when ``executor`` is) and cross-checked, and the integer
+    hit curves are summed.  At ``P = 1`` the whole streams are reduced
+    in-process without a copy.  Partition buffers reach forked workers
+    through the shared-memory registry
     (:data:`~repro.engine.shm.SHARED_BUNDLES`), never by pickling.
     """
     blocks = checked_block_words(list(streams))
-    per_block = _normalized_set_counts(blocks, set_counts)
-    partitions = _checked_partitions(partitions)
-    if partitions == 1:
-        return miss_cube(streams, set_counts, max_ways)
+    covered = _covered(blocks, set_counts)
+    requested = _checked_partitions(partitions)
+    partitions = _closed_partitions(covered, requested, {B: 0 for B in blocks})
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    partition_bits = log2_int(partitions)
-    fine, coarse = _split_fine_coarse(
-        per_block, partition_bits, {B: 0 for B in blocks}
-    )
-    fine_blocks = tuple(B for B in blocks if fine[B])
+    max_ways = int(max_ways)
     references = {B: len(streams[B]) for B in blocks}
 
     token = f"{_SHM_PREFIX}-{uuid.uuid4().hex[:16]}"
     parts: List[Dict[int, np.ndarray]] = [dict() for _ in range(partitions)]
     with tracer.span(
-        "cube.partition", partitions=partitions, backend="memory"
+        "cube.partition",
+        partitions=partitions,
+        requested=requested,
+        backend="memory",
     ) as span:
-        for B in fine_blocks:
+        for B in covered:
+            span.count("references", references[B])
+            if partitions == 1:
+                parts[0][B] = streams[B]
+                continue
             stream = np.asarray(streams[B], dtype=np.int64)
-            span.count("references", len(stream))
             key = stream & (partitions - 1)
             for index in range(partitions):
                 parts[index][B] = stream[key == index]
             del stream, key
 
     exported = False
+    partition_hits: List[Dict[int, Dict[int, np.ndarray]]] = []
     try:
         for index in range(partitions):
             _LOCAL_PARTS[(token, index)] = parts[index]
-        if executor.is_parallel and fine_blocks:
+        if executor.is_parallel and partitions > 1 and covered:
             for index in range(partitions):
                 SHARED_BUNDLES.export(
                     token,
@@ -385,47 +398,23 @@ def partitioned_miss_cube(
                     {f"b{B}": array for B, array in parts[index].items()},
                 )
             exported = True
-        fine_counts = {B: tuple(fine[B]) for B in fine_blocks}
-        items = [
-            (token, token, index, fine_counts, int(max_ways), cross_check)
-            for index in range(partitions)
-        ]
-        if fine_blocks:
+        if covered:
             partition_hits = _reduce_partitions(
-                items,
+                [(token, token, index, covered, max_ways)
+                 for index in range(partitions)],
                 _reduce_shared,
-                lambda index: _partition_hits(
-                    parts[index], fine_counts, int(max_ways), cross_check
-                ),
+                lambda index: _partition_hits(parts[index], covered, max_ways),
                 executor,
                 tracer,
             )
-        else:
-            partition_hits = []
     finally:
         for index in range(partitions):
             _LOCAL_PARTS.pop((token, index), None)
         if exported:
             SHARED_BUNDLES.retire(token)
-
-    hits = _merge_partition_hits(fine, max_ways, partition_hits)
-    if any(coarse.values()):
-        coarse_blocks = [B for B in blocks if coarse[B]]
-        with tracer.span(
-            "cube.coarse",
-            blocks=",".join(str(B) for B in coarse_blocks),
-            levels=sum(len(coarse[B]) for B in coarse_blocks),
-        ):
-            residue = miss_cube(
-                {B: streams[B] for B in coarse_blocks},
-                {B: coarse[B] for B in coarse_blocks},
-                max_ways,
-            )
-        for B in coarse_blocks:
-            hits.setdefault(B, {}).update(residue.hits[B])
-    for B in blocks:
-        hits.setdefault(B, {})
-    return MissCube(references=references, max_ways=int(max_ways), hits=hits)
+    return _merge_partition_hits(
+        blocks, covered, max_ways, references, partition_hits
+    )
 
 
 # -- out-of-core form ----------------------------------------------------------
@@ -453,7 +442,6 @@ def partitioned_miss_cube_from_addresses(
     tracer=None,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
     spill_dir: Optional[Path] = None,
-    cross_check: bool = True,
     progress_refs: Optional[int] = None,
 ) -> MissCube:
     """The full cube of one byte-address stream, out-of-core and parallel.
@@ -466,32 +454,27 @@ def partitioned_miss_cube_from_addresses(
     chunks; the partition pass consumes it in O(``chunk_refs``) memory,
     scattering by the coarsest block size's low partition bits into
     per-partition spill segments (:class:`~repro.trace.io.
-    StreamingBundleWriter`).  Reduce workers memory-map the finalized
-    spill — locators are pickled, buffers never are — and run the
-    unmodified serial engine per partition (each one also cross-checked
-    against the independent ``A = 1`` sweep unless ``cross_check`` is
-    off).  Set counts below the closure threshold are the coarse
-    residue: the serial engine answers them in the parent, from the
-    original array when it is addressable or from a full spill segment
-    written during the same single pass otherwise.
+    StreamingBundleWriter`).  The partition count is the largest power
+    of two up to ``partitions`` at which every requested level closes
+    (``log2(S) >= p + log2(Bmax / B)``).  Reduce workers memory-map the
+    finalized spill — locators are pickled, buffers never are — and run
+    the unmodified serial engine per partition, each one cross-checked
+    against the independent ``A = 1`` sweep.
     """
     blocks = checked_block_words(block_words)
-    per_block = _normalized_set_counts(blocks, set_counts)
-    partitions = _checked_partitions(partitions)
+    covered = _covered(blocks, set_counts)
+    largest = blocks[-1]
+    requested = _checked_partitions(partitions)
+    partitions = _closed_partitions(
+        covered, requested, {B: log2_int(largest // B) for B in blocks}
+    )
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
+    max_ways = int(max_ways)
     if chunk_refs < 1:
         raise ConfigurationError(
             f"chunk_refs must be at least 1, got {chunk_refs}"
         )
-    partition_bits = log2_int(partitions)
-    largest = blocks[-1]
-    extra_bits = {B: log2_int(largest // B) for B in blocks}
-    fine, coarse = _split_fine_coarse(per_block, partition_bits, extra_bits)
-    fine_blocks = tuple(B for B in blocks if fine[B])
-    fine_counts = {B: tuple(fine[B]) for B in fine_blocks}
-    random_access = isinstance(addresses, np.ndarray)
-    need_full_spill = any(coarse.values()) and not random_access
     if progress_refs is None:
         progress_refs = 8 * chunk_refs
 
@@ -508,15 +491,16 @@ def partitioned_miss_cube_from_addresses(
         writer = StreamingBundleWriter(digest, cache_dir=spill_root)
         try:
             with tracer.span(
-                "cube.partition", partitions=partitions, backend="spill"
+                "cube.partition",
+                partitions=partitions,
+                requested=requested,
+                backend="spill",
             ) as span:
                 since_beat = 0
                 for chunk in _iter_address_chunks(addresses, chunk_refs):
                     chunk = np.asarray(chunk, dtype=np.int64)
                     if not len(chunk):
                         continue
-                    if need_full_spill:
-                        writer.append("full", chunk)
                     key = (chunk >> shift) & (partitions - 1)
                     for index in range(partitions):
                         writer.append(f"p{index:03d}", chunk[key == index])
@@ -533,9 +517,7 @@ def partitioned_miss_cube_from_addresses(
             if consumed == 0:
                 empty = np.empty(0, dtype=np.int64)
                 writer.abort()
-                return miss_cube(
-                    {B: empty for B in blocks}, per_block, max_ways
-                )
+                return miss_cube({B: empty for B in blocks}, covered, max_ways)
             writer.finalize()
         except BaseException:
             writer.abort()
@@ -546,55 +528,26 @@ def partitioned_miss_cube_from_addresses(
             raise ConfigurationError(
                 f"cube spill bundle {digest} vanished before the reduce"
             )
-        items = [
-            (
-                digest,
-                str(spill_root),
-                index,
-                fine_blocks,
-                fine_counts,
-                int(max_ways),
-                cross_check,
-            )
-            for index in range(partitions)
-        ]
-        if fine_blocks:
+        partition_hits: List[Dict[int, Dict[int, np.ndarray]]] = []
+        if covered:
             partition_hits = _reduce_partitions(
-                items,
+                [(digest, str(spill_root), index, covered, max_ways)
+                 for index in range(partitions)],
                 _reduce_spilled,
                 lambda index: _partition_hits(
-                    ShiftedStreams(spilled[f"p{index:03d}"], fine_blocks),
-                    fine_counts,
-                    int(max_ways),
-                    cross_check,
+                    ShiftedStreams(spilled[f"p{index:03d}"], tuple(covered)),
+                    covered,
+                    max_ways,
                 ),
                 executor,
                 tracer,
             )
-        else:
-            partition_hits = []
-
-        hits = _merge_partition_hits(fine, max_ways, partition_hits)
-        if any(coarse.values()):
-            coarse_blocks = [B for B in blocks if coarse[B]]
-            full = addresses if random_access else spilled["full"]
-            with tracer.span(
-                "cube.coarse",
-                blocks=",".join(str(B) for B in coarse_blocks),
-                levels=sum(len(coarse[B]) for B in coarse_blocks),
-            ):
-                residue = miss_cube(
-                    ShiftedStreams(full, coarse_blocks),
-                    {B: coarse[B] for B in coarse_blocks},
-                    max_ways,
-                )
-            for B in coarse_blocks:
-                hits.setdefault(B, {}).update(residue.hits[B])
-        for B in blocks:
-            hits.setdefault(B, {})
-        references = {B: consumed for B in blocks}
-        return MissCube(
-            references=references, max_ways=int(max_ways), hits=hits
+        return _merge_partition_hits(
+            blocks,
+            covered,
+            max_ways,
+            {B: consumed for B in blocks},
+            partition_hits,
         )
     finally:
         delete_entry(digest, cache_dir=spill_root)

@@ -36,8 +36,10 @@ and the step-by-step :class:`~repro.cache.cache.Cache`; guard tests
 pinning each block size's plane to the retired per-``B`` stack-distance
 path bit for bit; and a fatal cross-check of every ``A = 1`` base
 against the independent :func:`~repro.cache.fastsim.
-direct_mapped_miss_sweep` when a cube artifact is built
-(:meth:`~repro.core.measurement.SuiteMeasurement.icache_miss_cube`).
+direct_mapped_miss_sweep` in every partition reduce of every build
+(:func:`~repro.cache.cubepart.partitioned_miss_cube`, which
+:class:`~repro.core.measurement.SuiteMeasurement` builds every cube
+through).
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ __all__ = [
 #: (block size, set count, ways) geometry from one engine pass.  Bump
 #: when the engine or the cube schema changes behaviour; subsumes the
 #: retired ``MISS_AXIS_VERSION`` and ``MISS_PLANE_VERSION`` schemas.
-MISS_CUBE_VERSION = 1
+#: Version 2 floors the set-count range (``min_capacity_words`` joined
+#: the artifact key).
+MISS_CUBE_VERSION = 2
 
 SetCounts = Union[Sequence[int], Mapping[int, Sequence[int]]]
 
@@ -81,13 +85,18 @@ def capacity_set_counts(
     block_words: Sequence[int],
     capacity_words: int,
     context: Optional[str] = None,
+    *,
+    min_capacity_words: int = 1,
+    max_ways: int = 1,
 ) -> Dict[int, List[int]]:
-    """Per-block-size set counts covering every geometry up to a capacity.
+    """Per-block-size set counts covering every geometry between two capacities.
 
-    For each block size ``B``, every power-of-two set count from 1 to
-    ``capacity_words // B`` — i.e. every direct-mapped size up to the
-    capacity, and through :meth:`MissCube.capacity_misses` every
-    ``(size, ways)`` split of those capacities as well.
+    For each block size ``B``, every power-of-two set count from
+    ``max(1, min_capacity_words // (B * max_ways))`` (rounded down to a
+    power of two) to ``capacity_words // B`` — i.e. every direct-mapped
+    size in that range, and through :meth:`MissCube.capacity_misses`
+    every ``(size, ways)`` split with ``size >= min_capacity_words`` and
+    ``ways <= max_ways`` as well.  The defaults start at one set.
     """
     blocks = checked_block_words(block_words, context=context)
     if not is_power_of_two(capacity_words):
@@ -101,7 +110,13 @@ def capacity_set_counts(
             context,
         )
     return {
-        B: [1 << k for k in range(log2_int(capacity_words // B) + 1)]
+        B: [
+            1 << k
+            for k in range(
+                max(1, min_capacity_words // (B * max_ways)).bit_length() - 1,
+                log2_int(capacity_words // B) + 1,
+            )
+        ]
         for B in blocks
     }
 

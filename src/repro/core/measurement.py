@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,16 +46,19 @@ from repro.sched import (
     branch_delay_stats,
     expand_istream,
 )
+# Every cube build goes through the two partitioned entry points, and the
+# engine (``miss_cube``) and cross-check (``direct_mapped_miss_sweep``)
+# they run stay importable here too: perfbench/layers.py times the cube
+# layer by patching these module attributes.
 from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
-from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
+from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep  # noqa: F401
 from repro.cache.geometry import checked_block_words, checked_ways, derived_sets
-from repro.cache.misscube import (
+from repro.cache.misscube import (  # noqa: F401
     MISS_CUBE_VERSION,
     MissCube,
-    ShiftedStreams,
     capacity_set_counts,
     miss_cube,
 )
@@ -69,7 +72,7 @@ from repro.trace.multiprogram import (
     multiprogram_quanta,
 )
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.units import WORD_BYTES, is_power_of_two, kw_to_words, log2_int
+from repro.utils.units import WORD_BYTES, kw_to_words, log2_int
 from repro.workload import (
     BenchmarkSpec,
     DataReferenceModel,
@@ -79,6 +82,8 @@ from repro.workload import (
 
 __all__ = [
     "SuiteMeasurement",
+    "CubeGrid",
+    "canonical_cube_grid",
     "GENERATOR_VERSION",
     "MISS_CUBE_VERSION",
 ]
@@ -98,11 +103,61 @@ GENERATOR_VERSION = 5
 #: for one stream family is answered by a single cube artifact.
 _CUBE_MAX_KW = 32
 
+#: Smallest per-side cache the paper sweeps (KW): the canonical floor.
+#: A cube covers every (size, ways) split from this capacity up, so its
+#: set counts bottom out at the paper grid (32/16/8 sets at 4/8/16-word
+#: blocks and 8 ways) rather than at one set.  The levels below are
+#: never read by the paper's figures, cost the most to build, and no
+#: set partition closes them; lookups reaching below the floor get a
+#: separate, widened artifact.
+_CUBE_MIN_KW = 1
+
 #: Largest associativity the paper studies.  Cubes are always built at
 #: least this deep: the stack-distance pass costs the same regardless of
 #: ``max_ways``, and a canonical depth lets direct-mapped lookups and
 #: associativity sweeps share one artifact.
 _CUBE_MAX_WAYS = 8
+
+
+class CubeGrid(NamedTuple):
+    """Canonical bounds of one miss-cube artifact and the set counts they cover."""
+
+    blocks: Tuple[int, ...]
+    capacity_words: int
+    min_capacity_words: int
+    max_ways: int
+    set_counts: Dict[int, List[int]]
+
+
+def canonical_cube_grid(
+    block_words: Sequence[int],
+    capacity_words: Optional[int] = None,
+    max_ways: Optional[int] = None,
+    min_capacity_words: Optional[int] = None,
+    context: Optional[str] = None,
+) -> CubeGrid:
+    """The canonical grid of a miss-cube artifact.
+
+    A cube always spans at least the paper grid — capacities of
+    ``_CUBE_MIN_KW`` to ``_CUBE_MAX_KW`` and ``_CUBE_MAX_WAYS`` ways — so
+    every geometry of that grid for one stream family maps to one shared
+    artifact; a request beyond either capacity bound (or deeper in ways)
+    widens the cube instead.  Per block size ``B`` the set counts run
+    from ``min_capacity_words // (B * max_ways)`` to
+    ``capacity_words // B`` (:func:`~repro.cache.misscube.
+    capacity_set_counts`).
+    """
+    blocks = checked_block_words(block_words, context=context)
+    capacity = max(kw_to_words(_CUBE_MAX_KW), blocks[-1], int(capacity_words or 0))
+    floor = kw_to_words(_CUBE_MIN_KW)
+    if min_capacity_words is not None:
+        floor = min(floor, max(1, int(min_capacity_words)))
+    floor = 1 << (floor.bit_length() - 1)  # power-of-two keys stay canonical
+    ways = max(int(max_ways or 1), _CUBE_MAX_WAYS)
+    set_counts = capacity_set_counts(
+        blocks, capacity, context, min_capacity_words=floor, max_ways=ways
+    )
+    return CubeGrid(blocks, capacity, floor, ways, set_counts)
 
 
 def _as_dtype(array: np.ndarray, dtype) -> np.ndarray:
@@ -206,16 +261,16 @@ class SuiteMeasurement:
         #: the configured run directory and become resumable.
         self.job_config = None
         #: Worker count for miss-cube builds (:meth:`attach_cube_jobs`).
-        #: At 1 the serial single-pass engine runs; above 1, cubes are
-        #: built by the set-partitioned parallel engine
+        #: At 1 a cube is one partition reduced in-process; above 1 it
+        #: is split across set partitions reduced by a process pool
         #: (:mod:`repro.cache.cubepart`) — bit-identical counts, same
         #: artifacts, bounded per-worker memory.
         self.cube_jobs = 1
-        #: Cube routing hints: ``(side, slots, block_words) -> key params``
-        #: of an already-built cube covering that block size, so later
-        #: single-block requests become store hits on the covering cube
-        #: instead of building a narrower artifact.
-        self._cube_index: Dict[Tuple[str, Optional[int], int], Dict[str, int]] = {}
+        #: Cube routing hints: ``(side, slots, block_words) -> grid`` of
+        #: the widest already-built cube covering that block size, so
+        #: later single-block requests become store hits on the covering
+        #: cube instead of building a narrower artifact.
+        self._cube_index: Dict[Tuple[str, Optional[int], int], CubeGrid] = {}
 
         total_weight = sum(spec.weight for spec in self.specs)
         self._budgets = [
@@ -235,12 +290,11 @@ class SuiteMeasurement:
     def attach_cube_jobs(self, jobs: Optional[int]) -> None:
         """Build miss cubes with the set-partitioned parallel engine.
 
-        ``jobs > 1`` routes cube builds through
-        :mod:`repro.cache.cubepart` with a process executor of that
-        width; the merged counts are bit-identical to the serial
-        single-pass engine, so the cached ``imiss_cube``/``dmiss_cube``
-        artifacts are unchanged.  ``None`` or 1 restores the serial
-        build.
+        ``jobs > 1`` splits cube builds across set partitions reduced
+        by a process executor of that width; the merged counts are
+        bit-identical to the serial (one-partition) build, so the cached
+        ``imiss_cube``/``dmiss_cube`` artifacts are unchanged.  ``None``
+        or 1 restores the serial build.
         """
         jobs = int(jobs) if jobs is not None else 1
         if jobs < 1:
@@ -651,157 +705,130 @@ class SuiteMeasurement:
         """Set count of a direct-mapped side, validated before simulation."""
         return derived_sets(size_kw, block_words, context=f"L1-{side}")
 
-    def _cube_capacity(
-        self, side: str, blocks: Tuple[int, ...], capacity_words: Optional[int]
-    ) -> int:
-        """Canonical top capacity (words) of a cube artifact.
-
-        A cube always extends to the paper's largest per-side cache, so
-        every geometry of the paper grid for one stream family maps to
-        one shared artifact; larger one-off requests get a wider cube.
-        """
-        capacity = max(
-            kw_to_words(_CUBE_MAX_KW), blocks[-1], int(capacity_words or 0)
-        )
-        if not is_power_of_two(capacity):
-            raise ConfigurationError(
-                f"invalid L1-{side} geometry: cube capacity must be a "
-                f"power of two: {capacity} words"
-            )
-        return capacity
-
-    def _cube_executor(self) -> SweepExecutor:
-        executor = SweepExecutor(jobs=self.cube_jobs, backend="process")
-        executor.tracer = self.tracer
-        return executor
-
     def _build_cube(
         self,
-        streams: Mapping[int, np.ndarray],
-        set_counts: Mapping[int, Sequence[int]],
-        ways: int,
+        grid: CubeGrid,
+        streams: Optional[Mapping[int, np.ndarray]],
+        addresses: Optional[np.ndarray] = None,
     ) -> MissCube:
-        """One cube build: serial engine, or set-partitioned at cube_jobs > 1.
+        """One cube build, through the set-partitioned engine.
 
-        Both paths produce bit-identical counts (the partitioned merge
-        is an exact integer sum), so the choice never shows in a stored
-        artifact — only in wall-clock and peak memory.
+        A serial session reduces the whole per-block ``streams`` as one
+        partition in-process; at ``cube_jobs > 1`` the streams — or the
+        byte-address stream, out-of-core, when ``addresses`` is given
+        instead — are split across set partitions reduced by a process
+        pool.  Either way every partition's ``A = 1`` base is
+        cross-checked fatally against the independent direct-mapped
+        sweep where it is reduced, and the merged counts are
+        bit-identical, so the choice never shows in a stored artifact —
+        only in wall-clock and peak memory.
         """
         if self.cube_jobs <= 1:
-            return miss_cube(streams, set_counts, ways)
-        executor = self._cube_executor()
-        try:
             return partitioned_miss_cube(
-                streams, set_counts, ways, executor=executor, tracer=self.tracer
+                streams, grid.set_counts, grid.max_ways,
+                partitions=1, tracer=self.tracer,
             )
-        finally:
-            executor.shutdown()
-
-    def _build_cube_from_addresses(
-        self,
-        addresses: np.ndarray,
-        blocks: Tuple[int, ...],
-        set_counts: Mapping[int, Sequence[int]],
-        ways: int,
-    ) -> MissCube:
-        """Address-stream cube build, out-of-core at cube_jobs > 1."""
-        if self.cube_jobs <= 1:
-            return miss_cube(ShiftedStreams(addresses, blocks), set_counts, ways)
-        executor = self._cube_executor()
+        executor = SweepExecutor(jobs=self.cube_jobs, backend="process")
+        executor.tracer = self.tracer
         try:
+            if addresses is None:
+                return partitioned_miss_cube(
+                    streams, grid.set_counts, grid.max_ways,
+                    executor=executor, tracer=self.tracer,
+                )
             return partitioned_miss_cube_from_addresses(
-                addresses,
-                blocks,
-                set_counts,
-                ways,
-                executor=executor,
-                tracer=self.tracer,
-                cross_check=False,  # _check_cube_base covers the whole stream
+                addresses, grid.blocks, grid.set_counts, grid.max_ways,
+                executor=executor, tracer=self.tracer,
             )
         finally:
             executor.shutdown()
 
-    def _check_cube_base(
-        self, kind: str, cube: MissCube, streams: Mapping[int, np.ndarray]
-    ) -> None:
-        """Every A=1 base of the cube must match the direct-mapped sweep.
+    def _miss_cube(
+        self, side: str, slots: Optional[int], grid: CubeGrid
+    ) -> MissCube:
+        """The cached cube artifact of one stream family and grid."""
+        kind = "imiss" if side == "I" else "dmiss"
+        params: Dict[str, Any] = {} if slots is None else {"slots": slots}
+        params.update(
+            blocks=",".join(str(b) for b in grid.blocks),
+            capacity_words=grid.capacity_words,
+            min_capacity_words=grid.min_capacity_words,
+            max_ways=grid.max_ways,
+        )
 
-        Both claim to be exact over the same streams, by two unrelated
-        algorithms (stack distances vs. adjacent-tag comparison) — a
-        disagreement means one of them is wrong, so it is fatal rather
-        than a warning.  This is also what pins every cube-backed
-        experiment output to the retired per-axis simulation bit for
-        bit.
-        """
-        for block_words, stream in streams.items():
-            axis = direct_mapped_miss_sweep(stream, cube.set_counts(block_words))
-            for num_sets, expected in axis.items():
-                got = cube.misses(block_words, num_sets, 1)
-                if got != expected:
-                    raise RuntimeError(
-                        f"{kind}: cube A=1 base disagrees with the "
-                        f"direct-mapped sweep at B={block_words}, "
-                        f"{num_sets} sets ({got} != {expected})"
-                    )
+        def build() -> MissCube:
+            self.tracer.count("cache_sweeps")
+            streams = addresses = None
+            if side == "I":
+                streams = {B: self.istream_blocks(slots, B) for B in grid.blocks}
+            elif self.cube_jobs > 1:
+                # Parallel builds consume the memory-mapped address
+                # bundle out-of-core instead of materializing one
+                # block stream per block size.
+                addresses = self.dstream_address_bundle()
+            else:
+                streams = {B: self.dstream_blocks(B) for B in grid.blocks}
+            with self.tracer.span(f"{kind}.cube", **params) as span:
+                span.count("block_sizes", len(grid.blocks))
+                span.count(
+                    "references",
+                    len(grid.blocks) * len(addresses)
+                    if streams is None
+                    else sum(len(s) for s in streams.values()),
+                )
+                return self._build_cube(grid, streams, addresses)
 
-    def _register_cube(
-        self,
-        side: str,
-        slots: Optional[int],
-        blocks: Tuple[int, ...],
-        capacity_words: int,
-        max_ways: int,
-    ) -> None:
-        """Remember a built cube as the routing target for its block sizes."""
-        for block_words in blocks:
+        cube = self.store.get_or_create(
+            f"{kind}_cube", MISS_CUBE_VERSION, build, **params
+        )
+        # Remember the cube as the routing target of its block sizes,
+        # unless a wider one already is.
+        for block_words in grid.blocks:
             key = (side, slots, block_words)
             entry = self._cube_index.get(key)
-            if (
-                entry is None
-                or (
-                    capacity_words >= entry["capacity_words"]
-                    and max_ways >= entry["max_ways"]
-                )
+            if entry is None or (
+                grid.set_counts[block_words][0] <= entry.set_counts[block_words][0]
+                and grid.capacity_words >= entry.capacity_words
+                and grid.max_ways >= entry.max_ways
             ):
-                self._cube_index[key] = {
-                    "blocks": blocks,
-                    "capacity_words": capacity_words,
-                    "max_ways": max_ways,
-                }
+                self._cube_index[key] = grid
+        return cube
 
     def _cube_view(
         self,
         side: str,
         slots: Optional[int],
         block_words: int,
-        min_sets: int,
+        low_sets: int,
+        high_sets: int,
         min_ways: int,
     ) -> MissCube:
-        """The cube artifact answering one (block, sets, ways) request.
+        """The cube artifact answering ``low_sets..high_sets`` at one block.
 
-        Routed through the session's cube index, so a single-block
-        request lands on an already-built multi-block cube that covers
-        it (a store hit) instead of building a narrower artifact.
+        Routed through the session's cube index, so a request lands on
+        an already-built multi-block cube that covers it (a store hit)
+        instead of building a narrower artifact.  A request the index
+        cannot answer — below the canonical floor, above the canonical
+        capacity or deeper in ways — builds a single-block cube widened
+        just enough to cover it.
         """
         entry = self._cube_index.get((side, slots, block_words))
         if (
             entry is not None
-            and entry["capacity_words"] >= min_sets * block_words
-            and entry["max_ways"] >= min_ways
+            and entry.set_counts[block_words][0] <= low_sets
+            and entry.capacity_words >= high_sets * block_words
+            and entry.max_ways >= min_ways
         ):
-            blocks = entry["blocks"]
-            capacity: Optional[int] = entry["capacity_words"]
-            ways: Optional[int] = entry["max_ways"]
-        else:
-            blocks = (block_words,)
-            capacity = min_sets * block_words
-            ways = min_ways
-        if side == "I":
-            assert slots is not None
-            return self.icache_miss_cube(
-                slots, blocks, capacity_words=capacity, max_ways=ways
-            )
-        return self.dcache_miss_cube(blocks, capacity_words=capacity, max_ways=ways)
+            return self._miss_cube(side, slots, entry)
+        ways = max(min_ways, _CUBE_MAX_WAYS)
+        grid = canonical_cube_grid(
+            (block_words,),
+            capacity_words=high_sets * block_words,
+            max_ways=ways,
+            min_capacity_words=low_sets * block_words * ways,
+            context=f"L1-{side}",
+        )
+        return self._miss_cube(side, slots, grid)
 
     def icache_miss_cube(
         self,
@@ -809,114 +836,46 @@ class SuiteMeasurement:
         block_words: Sequence[int],
         capacity_words: Optional[int] = None,
         max_ways: Optional[int] = None,
+        min_capacity_words: Optional[int] = None,
     ) -> MissCube:
         """L1-I LRU misses over the whole (block x sets x ways) cube.
 
         One content-addressed artifact per (stream family, blocks,
-        capacity, ways) tuple holds exact miss counts for every covered
-        geometry: each block size at every power-of-two set count up to
-        ``capacity_words // block`` and every associativity up to
-        ``max_ways``, produced by a single engine pass
-        (:func:`~repro.cache.misscube.miss_cube`) over the per-block
-        instruction streams.  The bounds are canonicalized (at least the
-        paper's 32 KW capacity and 8 ways — the pass costs the same), so
-        axis, plane, and sweep views all resolve to the same artifact.
-        Every block size's ``A = 1`` base is cross-checked against the
-        independent :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`
-        before the cube is stored.
+        capacity range, ways) holds exact miss counts for every covered
+        geometry: each block size at every power-of-two set count of
+        :func:`canonical_cube_grid` — every ``(size, ways)`` split from
+        ``min_capacity_words`` to ``capacity_words``, canonicalized to at
+        least the paper's 1–32 KW and 8 ways — produced by a single
+        engine pass over the per-block instruction streams.  Axis,
+        plane, and sweep views of the paper grid therefore all resolve
+        to the same artifact.  Every block size's ``A = 1`` base is
+        cross-checked against the independent
+        :func:`~repro.cache.fastsim.direct_mapped_miss_sweep` inside the
+        build, before the cube is stored.
         """
-        blocks = checked_block_words(block_words, context="L1-I")
-        capacity = self._cube_capacity("I", blocks, capacity_words)
-        ways = max(int(max_ways or 1), _CUBE_MAX_WAYS)
-        set_counts = capacity_set_counts(blocks, capacity, context="L1-I")
-
-        def build() -> MissCube:
-            self.tracer.count("cache_sweeps")
-            streams = {B: self.istream_blocks(slots, B) for B in blocks}
-            with self.tracer.span(
-                "imiss.cube",
-                slots=slots,
-                blocks=",".join(str(b) for b in blocks),
-                capacity_words=capacity,
-                max_ways=ways,
-            ) as span:
-                span.count("block_sizes", len(blocks))
-                span.count("references", sum(len(s) for s in streams.values()))
-                cube = self._build_cube(streams, set_counts, ways)
-            self._check_cube_base("imiss_cube", cube, streams)
-            return cube
-
-        cube = self.store.get_or_create(
-            "imiss_cube",
-            MISS_CUBE_VERSION,
-            build,
-            slots=slots,
-            blocks=",".join(str(b) for b in blocks),
-            capacity_words=capacity,
-            max_ways=ways,
+        grid = canonical_cube_grid(
+            block_words, capacity_words, max_ways, min_capacity_words, "L1-I"
         )
-        self._register_cube("I", slots, blocks, capacity, ways)
-        return cube
+        return self._miss_cube("I", slots, grid)
 
     def dcache_miss_cube(
         self,
         block_words: Sequence[int],
         capacity_words: Optional[int] = None,
         max_ways: Optional[int] = None,
+        min_capacity_words: Optional[int] = None,
     ) -> MissCube:
         """L1-D LRU misses over the whole (block x sets x ways) cube.
 
-        The data-side cube consumes the single block-independent address
-        stream (:meth:`dstream_addresses`); block-size doubling is one
-        more shift view inside the engine
-        (:func:`~repro.cache.misscube.miss_cube_from_addresses`
-        semantics, with the shift views shared through the store).
+        The data-side counterpart of :meth:`icache_miss_cube`.  Serial
+        sessions build it from the shared per-block shift views of
+        :meth:`dstream_addresses`; at ``cube_jobs > 1`` it consumes the
+        disk-backed :meth:`dstream_address_bundle` out-of-core.
         """
-        blocks = checked_block_words(block_words, context="L1-D")
-        capacity = self._cube_capacity("D", blocks, capacity_words)
-        ways = max(int(max_ways or 1), _CUBE_MAX_WAYS)
-        set_counts = capacity_set_counts(blocks, capacity, context="L1-D")
-
-        def build() -> MissCube:
-            self.tracer.count("cache_sweeps")
-            with self.tracer.span(
-                "dmiss.cube",
-                blocks=",".join(str(b) for b in blocks),
-                capacity_words=capacity,
-                max_ways=ways,
-            ) as span:
-                span.count("block_sizes", len(blocks))
-                if self.cube_jobs > 1:
-                    # Parallel builds consume the memory-mapped address
-                    # bundle out-of-core instead of materializing one
-                    # block stream per block size.
-                    addresses = self.dstream_address_bundle()
-                    span.count("references", len(blocks) * len(addresses))
-                    streams: Mapping[int, np.ndarray] = ShiftedStreams(
-                        addresses, blocks
-                    )
-                    cube = self._build_cube_from_addresses(
-                        addresses, blocks, set_counts, ways
-                    )
-                else:
-                    streams = {B: self.dstream_blocks(B) for B in blocks}
-                    span.count(
-                        "references", sum(len(s) for s in streams.values())
-                    )
-                    cube = miss_cube(streams, set_counts, ways)
-            self._check_cube_base("dmiss_cube", cube, streams)
-            return cube
-
-        cube = self.store.get_or_create(
-            "dmiss_cube",
-            MISS_CUBE_VERSION,
-            build,
-            blocks=",".join(str(b) for b in blocks),
-            capacity_words=capacity,
-            max_ways=ways,
+        grid = canonical_cube_grid(
+            block_words, capacity_words, max_ways, min_capacity_words, "L1-D"
         )
-        self._register_cube("D", None, blocks, capacity, ways)
-        return cube
+        return self._miss_cube("D", None, grid)
 
     def icache_miss_axis(
         self, slots: int, block_words: int, max_sets: int
@@ -925,12 +884,12 @@ class SuiteMeasurement:
 
         A view of the shared miss cube (one artifact per stream family).
         """
-        cube = self._cube_view("I", slots, block_words, max_sets, 1)
+        cube = self._cube_view("I", slots, block_words, 1, max_sets, 1)
         return cube.axis(block_words, max_sets=max_sets)
 
     def dcache_miss_axis(self, block_words: int, max_sets: int) -> Dict[int, int]:
         """L1-D misses for every power-of-two set count up to ``max_sets``."""
-        cube = self._cube_view("D", None, block_words, max_sets, 1)
+        cube = self._cube_view("D", None, block_words, 1, max_sets, 1)
         return cube.axis(block_words, max_sets=max_sets)
 
     def icache_miss_plane(
@@ -941,14 +900,14 @@ class SuiteMeasurement:
         A trimmed view of the shared miss cube, shaped exactly like the
         retired per-block plane artifacts (bit for bit).
         """
-        cube = self._cube_view("I", slots, block_words, max_sets, max_ways)
+        cube = self._cube_view("I", slots, block_words, 1, max_sets, max_ways)
         return cube.plane(block_words, max_sets=max_sets, max_ways=max_ways)
 
     def dcache_miss_plane(
         self, block_words: int, max_sets: int, max_ways: int
     ) -> MissPlane:
         """L1-D LRU misses over one block size's (set count x ways) plane."""
-        cube = self._cube_view("D", None, block_words, max_sets, max_ways)
+        cube = self._cube_view("D", None, block_words, 1, max_sets, max_ways)
         return cube.plane(block_words, max_sets=max_sets, max_ways=max_ways)
 
     def icache_assoc_sweep(
@@ -971,7 +930,10 @@ class SuiteMeasurement:
         }
         if not caps:
             return {}
-        cube = self._cube_view("I", slots, block_words, max(caps.values()), max(ways))
+        low = max(1, min(caps.values()) // max(ways))
+        cube = self._cube_view(
+            "I", slots, block_words, low, max(caps.values()), max(ways)
+        )
         return {
             (size_kw, way): cube.capacity_misses(block_words, capacity, way)
             for size_kw, capacity in caps.items()
@@ -989,7 +951,10 @@ class SuiteMeasurement:
         }
         if not caps:
             return {}
-        cube = self._cube_view("D", None, block_words, max(caps.values()), max(ways))
+        low = max(1, min(caps.values()) // max(ways))
+        cube = self._cube_view(
+            "D", None, block_words, low, max(caps.values()), max(ways)
+        )
         return {
             (size_kw, way): cube.capacity_misses(block_words, capacity, way)
             for size_kw, capacity in caps.items()
@@ -1006,9 +971,8 @@ class SuiteMeasurement:
         }
         if not sets_by_size:
             return {}
-        cube = self._cube_view(
-            "I", slots, block_words, max(sets_by_size.values()), 1
-        )
+        low, high = min(sets_by_size.values()), max(sets_by_size.values())
+        cube = self._cube_view("I", slots, block_words, low, high, 1)
         return {
             size_kw: cube.misses(block_words, sets, 1)
             for size_kw, sets in sets_by_size.items()
@@ -1024,7 +988,8 @@ class SuiteMeasurement:
         }
         if not sets_by_size:
             return {}
-        cube = self._cube_view("D", None, block_words, max(sets_by_size.values()), 1)
+        low, high = min(sets_by_size.values()), max(sets_by_size.values())
+        cube = self._cube_view("D", None, block_words, low, high, 1)
         return {
             size_kw: cube.misses(block_words, sets, 1)
             for size_kw, sets in sets_by_size.items()
@@ -1033,13 +998,13 @@ class SuiteMeasurement:
     def icache_misses(self, slots: int, block_words: int, size_kw: float) -> int:
         """L1-I misses for one configuration over the whole session."""
         sets = self._derived_sets("I", block_words, size_kw)
-        cube = self._cube_view("I", slots, block_words, sets, 1)
+        cube = self._cube_view("I", slots, block_words, sets, sets, 1)
         return cube.misses(block_words, sets, 1)
 
     def dcache_misses(self, block_words: int, size_kw: float) -> int:
         """L1-D misses for one configuration over the whole session."""
         sets = self._derived_sets("D", block_words, size_kw)
-        cube = self._cube_view("D", None, block_words, sets, 1)
+        cube = self._cube_view("D", None, block_words, sets, sets, 1)
         return cube.misses(block_words, sets, 1)
 
     # -- reporting ---------------------------------------------------------------

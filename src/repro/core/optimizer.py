@@ -225,12 +225,14 @@ class DesignOptimizer:
                 sorted(side["blocks"]),
                 capacity_words=max(side["words"]),
                 max_ways=max_ways,
+                min_capacity_words=min(side["words"]),
             )
         if dcache_grid["blocks"]:
             self.measurement.dcache_miss_cube(
                 sorted(dcache_grid["blocks"]),
                 capacity_words=max(dcache_grid["words"]),
                 max_ways=max_ways,
+                min_capacity_words=min(dcache_grid["words"]),
             )
 
     def _prefill_parallel(self, configs: Sequence[SystemConfig]) -> bool:

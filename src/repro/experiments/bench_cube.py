@@ -50,6 +50,7 @@ from repro.cache.cubepart import (
 from repro.cache.fastsim import addresses_to_blocks
 from repro.cache.misscube import MissCube, miss_cube_from_addresses
 from repro.cache.stackdist import capacity_associativity_misses
+from repro.core.measurement import SuiteMeasurement, canonical_cube_grid
 from repro.engine.executor import SweepExecutor
 from repro.engine.session import SessionRegistry
 from repro.engine.store import ArtifactStore
@@ -168,17 +169,7 @@ def _cube_counts(
     capacities_kw: Sequence[float],
     ways: Sequence[int],
 ) -> _Counts:
-    # The grid's exact levels, so all three timed paths cover the same
-    # surface.  (The production cubes instead use capacity_set_counts —
-    # every level down to 1 set — because they also serve the
-    # direct-mapped size axis; the extra low levels are what that wider
-    # coverage costs.)
-    set_counts = {
-        B: sorted(
-            {kw_to_words(kw) // B // way for kw in capacities_kw for way in ways}
-        )
-        for B in blocks
-    }
+    set_counts = _grid_set_counts(blocks, capacities_kw, ways)
     cube = miss_cube_from_addresses(addresses, blocks, set_counts, max(ways))
     return {
         (block, kw, way): cube.capacity_misses(
@@ -279,12 +270,18 @@ def _grid_set_counts(
     capacities_kw: Sequence[float],
     ways: Sequence[int],
 ) -> Dict[int, List[int]]:
-    return {
-        B: sorted(
-            {kw_to_words(kw) // B // way for kw in capacities_kw for way in ways}
-        )
-        for B in blocks
-    }
+    """The set counts a production cube of this grid covers.
+
+    The same canonical grid :class:`~repro.core.measurement.
+    SuiteMeasurement` builds its cube artifacts over, so the timings are
+    of the set range production pays for.
+    """
+    return canonical_cube_grid(
+        blocks,
+        capacity_words=kw_to_words(max(capacities_kw)),
+        max_ways=max(ways),
+        min_capacity_words=kw_to_words(min(capacities_kw)),
+    ).set_counts
 
 
 def _cubes_identical(a: MissCube, b: MissCube) -> bool:
@@ -316,8 +313,10 @@ def run_scale_benchmark(
     stream as a disk-backed bundle
     (:meth:`~repro.core.measurement.SuiteMeasurement.
     dstream_address_bundle` — the memory-mapped view is what both
-    engines consume), then time the whole paper block-size surface
-    through the set-partitioned out-of-core engine.  Budgets up to
+    engines consume), then time the whole paper block-size surface —
+    the set range production cubes cover (:func:`~repro.core.
+    measurement.canonical_cube_grid`) — through the set-partitioned
+    out-of-core engine.  Budgets up to
     ``serial_limit`` also run the serial one-shot engine and the two
     cubes are asserted **bit-identical** (fatal otherwise); above the
     limit the serial pass is skipped and the partitioned build keeps its
@@ -345,8 +344,6 @@ def run_scale_benchmark(
     try:
         for total in sorted(int(n) for n in instructions):
             synth_started = time.perf_counter()
-            from repro.core.measurement import SuiteMeasurement
-
             measurement = SuiteMeasurement(
                 total_instructions=total,
                 store=ArtifactStore(cache_dir=root),
@@ -378,7 +375,6 @@ def run_scale_benchmark(
                         max(ways),
                         partitions=partitions,
                         executor=executor,
-                        cross_check=True,
                     )
                     part_s = min(part_s, time.perf_counter() - started)
             finally:

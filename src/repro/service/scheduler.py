@@ -67,7 +67,6 @@ PROGRESS_SPANS = frozenset(
         "cube.partition",
         "cube.reduce",
         "cube.progress",
-        "cube.coarse",
         "cube.serial_fallback",
         "session.build",
         "session.prefetch_traces",

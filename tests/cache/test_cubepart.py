@@ -18,16 +18,22 @@ from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
+from repro.cache.fastsim import addresses_to_blocks
 from repro.cache.misscube import (
     capacity_set_counts,
     miss_cube,
     miss_cube_from_addresses,
 )
+from repro.core.measurement import canonical_cube_grid
 from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
 
 BLOCKS = (4, 8, 16)
+
+#: Floor a capacity grid at the paper's 1 KW / 8 ways, as production
+#: cubes are: every level then closes at eight partitions.
+PAPER_FLOOR = {"min_capacity_words": 1024, "max_ways": 8}
 
 addresses = st.lists(st.integers(min_value=0, max_value=4095), max_size=400)
 
@@ -42,14 +48,24 @@ def assert_cubes_identical(expected, got):
             assert np.array_equal(expected.hits[B][S], got.hits[B][S]), (B, S)
 
 
-def _span_names(roots):
-    names = set()
+def _spans(roots):
     stack = list(roots)
     while stack:
         span = stack.pop()
-        names.add(span.name)
+        yield span
         stack.extend(span.children)
-    return names
+
+
+def _partitions_used(tracer):
+    return [
+        span.attrs["partitions"]
+        for span in _spans(tracer.roots)
+        if span.name == "cube.partition"
+    ]
+
+
+def _span_names(roots):
+    return {span.name for span in _spans(roots)}
 
 
 class TestPartitionedEqualsSerial:
@@ -87,7 +103,7 @@ class TestPartitionedEqualsSerial:
         self, addrs, partition_log2, chunk_refs
     ):
         stream = np.array(addrs, dtype=np.int64)
-        set_counts = capacity_set_counts(BLOCKS, 1024)
+        set_counts = capacity_set_counts(BLOCKS, 1024, **PAPER_FLOOR)
         serial = miss_cube_from_addresses(stream, BLOCKS, set_counts, 4)
         pieces = (
             stream[i : i + chunk_refs] for i in range(0, len(stream), chunk_refs)
@@ -123,22 +139,24 @@ class TestPartitionedEqualsSerial:
             set_counts,
             max_ways,
             partitions=1 << partition_log2,
-            cross_check=True,
         )
         assert_cubes_identical(serial, got)
 
     def test_coarse_residue_full_capacity_grid(self):
-        # capacity_set_counts covers every level down to one set, so
-        # partitioning leaves a coarse residue at every block size; the
-        # residue must come back from the serial in-parent pass exactly.
+        # capacity_set_counts covers every level down to one set, which
+        # no partition closes: instead of leaving a coarse residue for a
+        # serial pass, the build drops to one partition and must still
+        # come back identical to the serial cube.
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 15, size=20000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 8192)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+        tracer = Tracer()
         got = partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 8, partitions=8
+            addrs, BLOCKS, counts, 8, partitions=8, tracer=tracer
         )
         assert_cubes_identical(serial, got)
+        assert _partitions_used(tracer) == [1]
 
     def test_empty_stream(self):
         counts = capacity_set_counts(BLOCKS, 256)
@@ -155,7 +173,7 @@ class TestParallelWorkers:
     def test_process_pool_reduce_is_identical(self):
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 1 << 14, size=30000).astype(np.int64)
-        counts = capacity_set_counts(BLOCKS, 4096)
+        counts = capacity_set_counts(BLOCKS, 4096, **PAPER_FLOOR)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
         executor = SweepExecutor(jobs=2)
         try:
@@ -180,7 +198,7 @@ class TestParallelWorkers:
         # the reduce serially and still merge bit-identical counts.
         rng = np.random.default_rng(12)
         addrs = rng.integers(0, 1 << 13, size=12000).astype(np.int64)
-        counts = capacity_set_counts(BLOCKS, 2048)
+        counts = capacity_set_counts(BLOCKS, 2048, **PAPER_FLOOR)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
         monkeypatch.setattr(
             cubepart, "_FAULT_PARTS", (os.getpid(), frozenset({1}))
@@ -230,7 +248,7 @@ class TestParallelWorkers:
 
         rng = np.random.default_rng(14)
         addrs = rng.integers(0, 1 << 12, size=9000).astype(np.int64)
-        counts = capacity_set_counts(BLOCKS, 1024)
+        counts = capacity_set_counts(BLOCKS, 1024, **PAPER_FLOOR)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
         got = partitioned_miss_cube_from_addresses(
             addrs, BLOCKS, counts, 4, partitions=4, executor=_DeadExecutor()
@@ -257,7 +275,10 @@ class TestObservability:
         assert "cube.partition" in names
         assert "cube.reduce" in names
         assert "cube.progress" in names  # heartbeat for liveness
-        assert "cube.coarse" in names  # capacity grid has sub-threshold levels
+        # The capacity grid reaches down to one set, which no partition
+        # closes: the build runs as one partition instead of leaving a
+        # residue for a serial pass.
+        assert _partitions_used(tracer) == [1]
 
     def test_progress_counters_accumulate(self):
         rng = np.random.default_rng(16)
@@ -313,17 +334,115 @@ class TestValidationAndClosure:
         # Address streams are partitioned on the coarsest block size's
         # index bits, so a finer block size needs log2(Bmax/B) extra
         # set-index bits before the partition bits are contained: with
-        # P = 8 and blocks 4/8/16 the fine thresholds are S >= 32/16/8.
-        per_block = {4: [16, 32], 8: [8, 16], 16: [4, 8]}
-        fine, coarse = cubepart._split_fine_coarse(
-            per_block, 3, {4: 2, 8: 1, 16: 0}
-        )
-        assert fine == {4: [32], 8: [16], 16: [8]}
-        assert coarse == {4: [16], 8: [8], 16: [4]}
+        # P = 8 and blocks 4/8/16 the thresholds are S >= 32/16/8.
+        extra = {4: 2, 8: 1, 16: 0}
+        at_threshold = {4: [32, 64], 8: [16, 32], 16: [8, 16]}
+        assert cubepart._closed_partitions(at_threshold, 8, extra) == 8
+        # One level below its threshold, at any block size, halves the
+        # partition count instead of leaving that level unclosed.
+        for B in BLOCKS:
+            below = dict(at_threshold)
+            below[B] = [at_threshold[B][0] // 2] + at_threshold[B]
+            assert cubepart._closed_partitions(below, 8, extra) == 4
+        # A one-set level closes only the whole stream.
+        assert cubepart._closed_partitions({16: [1, 8]}, 8, extra) == 1
 
-    def test_zero_partition_bits_has_no_coarse_residue(self):
-        fine, coarse = cubepart._split_fine_coarse(
-            {4: [1, 2, 4]}, 0, {4: 0}
+
+def _closes(set_counts, partitions, extra_bits):
+    """Every requested level holds every partition bit (one partition
+    is the whole stream, which always closes)."""
+    p = partitions.bit_length() - 1
+    return p == 0 or all(
+        S.bit_length() - 1 >= p + extra_bits[B]
+        for B, counts in set_counts.items()
+        for S in counts
+    )
+
+
+def _assert_largest_closed(tracer, set_counts, requested, extra_bits):
+    """The build used the largest partition count up to the request at
+    which every level closes."""
+    (used,) = _partitions_used(tracer)
+    assert used <= requested
+    assert _closes(set_counts, used, extra_bits)
+    assert used == requested or not _closes(set_counts, 2 * used, extra_bits)
+
+
+class TestPartitionCountClosesEveryLevel:
+    """Both forms pick the largest partition count that closes every level."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        blocks=st.sets(st.sampled_from((2, 4, 8, 16)), min_size=1),
+        floor_log2=st.integers(min_value=0, max_value=5),
+        top_log2=st.integers(min_value=0, max_value=4),
+        partition_log2=st.integers(min_value=0, max_value=4),
+        on_pool=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_both_forms_equal_miss_cube(
+        self, seed, blocks, floor_log2, top_log2, partition_log2, on_pool
+    ):
+        rng = np.random.default_rng(seed)
+        blocks = tuple(sorted(blocks))
+        addrs = rng.integers(0, 1 << 13, size=int(rng.integers(1, 3000)))
+        # Levels from 1 << floor_log2 sets (floor_log2 = 0 is one set)
+        # up to top_log2 doublings above, at every block size.
+        set_counts = {
+            B: [1 << k for k in range(floor_log2, floor_log2 + top_log2 + 1)]
+            for B in blocks
+        }
+        requested = 1 << partition_log2
+        # A fresh pool per example: it forks at the first map, after the
+        # in-memory form has exported its partitions, so its workers
+        # really reduce them.
+        executor = SweepExecutor(jobs=2) if on_pool else SweepExecutor()
+        try:
+            streams = {B: addresses_to_blocks(addrs, B) for B in blocks}
+            tracer = Tracer()
+            got = partitioned_miss_cube(
+                streams, set_counts, 4,
+                partitions=requested, executor=executor, tracer=tracer,
+            )
+            assert_cubes_identical(miss_cube(streams, set_counts, 4), got)
+            _assert_largest_closed(
+                tracer, set_counts, requested, {B: 0 for B in blocks}
+            )
+
+            tracer = Tracer()
+            got = partitioned_miss_cube_from_addresses(
+                addrs, blocks, set_counts, 4,
+                partitions=requested, executor=executor, tracer=tracer,
+                chunk_refs=512,
+            )
+            assert_cubes_identical(
+                miss_cube_from_addresses(addrs, blocks, set_counts, 4), got
+            )
+            largest = blocks[-1]
+            _assert_largest_closed(
+                tracer,
+                set_counts,
+                requested,
+                {B: (largest // B).bit_length() - 1 for B in blocks},
+            )
+        finally:
+            executor.shutdown()
+
+    def test_paper_grid_closes_at_eight_partitions_on_both_forms(self):
+        # The canonical cube's floor (1 KW at 8 ways: 32/16/8 sets at
+        # 4/8/16-word blocks) closes at the default partition count on
+        # both the per-block and the shared-address form.
+        set_counts = canonical_cube_grid(BLOCKS).set_counts
+        rng = np.random.default_rng(5)
+        addrs = rng.integers(0, 1 << 16, size=5000).astype(np.int64)
+        tracer = Tracer()
+        partitioned_miss_cube_from_addresses(
+            addrs, BLOCKS, set_counts, 8, tracer=tracer
         )
-        assert fine == {4: [1, 2, 4]}
-        assert coarse == {4: []}
+        partitioned_miss_cube(
+            {B: addresses_to_blocks(addrs, B) for B in BLOCKS},
+            set_counts,
+            8,
+            tracer=tracer,
+        )
+        assert _partitions_used(tracer) == [8, 8]

@@ -243,13 +243,15 @@ class TestMissCubeGuards:
             )
 
     def test_cube_is_one_artifact_per_stream_family(self, measurement):
-        # One multi-block cube build must answer every later axis,
-        # plane, sweep, and single-point request without another store
-        # build (the cube index routes single-block requests to it).
+        # One multi-block cube build must answer every later paper-grid
+        # sweep and single-point request (1-32 KW, up to 8 ways) without
+        # another store build (the cube index routes single-block
+        # requests to it).  Views reaching below the grid are covered by
+        # TestCubeFloorAndRouting.
         measurement.dcache_miss_cube((4, 8, 16))
         before = measurement.store.stats().misses
-        measurement.dcache_miss_axis(8, 256)
-        measurement.dcache_miss_plane(16, 64, 4)
+        measurement.dcache_miss_sweep(8, (1, 2, 4, 8, 16, 32))
+        measurement.dcache_assoc_sweep(16, (1, 4, 32), (1, 2, 4, 8))
         measurement.dcache_assoc_sweep(4, (1, 8, 32), (1, 2, 4, 8))
         measurement.dcache_misses(4, 8)
         assert measurement.store.stats().misses == before
@@ -415,6 +417,131 @@ class TestSharedTraceBuffers:
             SHARED_BUNDLES.retire(group)
 
 
+def _spans(tracer):
+    stack = list(tracer.roots)
+    while stack:
+        span = stack.pop()
+        yield span
+        stack.extend(span.children)
+
+
+def _small_session(cube_jobs=1):
+    session = SuiteMeasurement(
+        specs=[benchmark_by_name(n) for n in ("small", "yacc")],
+        total_instructions=120_000,
+        min_benchmark_instructions=30_000,
+        use_disk_cache=False,
+    )
+    session.attach_cube_jobs(cube_jobs)
+    return session
+
+
+class TestCubeFloorAndRouting:
+    """The canonical floor: paper-grid lookups share one artifact per
+    stream family, lookups below the floor get a widened one, and the
+    fatal A=1 cross-check runs on every build path."""
+
+    def test_sub_floor_lookups_build_a_widened_artifact(self):
+        from repro.cache.assoc_sim import set_associative_misses
+        from repro.cache.fastsim import direct_mapped_misses
+        from repro.core.measurement import MISS_CUBE_VERSION
+
+        session = _small_session()
+        session.icache_miss_cube(0, (4, 8, 16))
+        canonical = session.store.peek(
+            "imiss_cube",
+            MISS_CUBE_VERSION,
+            slots=0,
+            blocks="4,8,16",
+            capacity_words=32 * 1024,
+            min_capacity_words=1024,
+            max_ways=8,
+        )
+        assert canonical.set_counts(4)[0] == 32
+        assert canonical.set_counts(16)[0] == 8
+        stream = session.istream_blocks(0, 4)
+
+        # A 16-word cache has 4 sets, below the floor: one new artifact.
+        before = session.store.stats().misses
+        assert session.icache_misses(0, 4, 16 / 1024) == direct_mapped_misses(
+            stream, 4
+        )
+        assert session.store.stats().misses == before + 1
+        widened = session.store.peek(
+            "imiss_cube",
+            MISS_CUBE_VERSION,
+            slots=0,
+            blocks="4",
+            capacity_words=32 * 1024,
+            min_capacity_words=128,
+            max_ways=8,
+        )
+        assert widened.set_counts(4)[0] == 4
+
+        # A plane's contract starts at one set: widened once more.
+        plane = session.icache_miss_plane(0, 4, 64, 2)
+        assert session.store.stats().misses == before + 2
+        assert plane.set_counts[0] == 1
+        for num_sets in (1, 2, 64):
+            assert plane.misses(num_sets, 1) == direct_mapped_misses(
+                stream, num_sets
+            )
+            assert plane.misses(num_sets, 2) == set_associative_misses(
+                stream, num_sets, 2
+            )
+        # The widest cube now answers every lookup at that block size.
+        session.icache_misses(0, 4, 16 / 1024)
+        session.icache_miss_axis(0, 4, 8192)
+        session.icache_miss_sweep(0, 4, (1, 8, 32))
+        assert session.store.stats().misses == before + 2
+
+    def test_optimizer_sweep_builds_one_cube_per_stream_family(self):
+        from repro.core import DesignOptimizer, SystemConfig
+        from repro.obs import Tracer
+
+        session = _small_session()
+        tracer = Tracer()
+        session.attach_tracer(tracer)
+        optimizer = DesignOptimizer(session, assoc_ways=(1, 2, 4, 8))
+        grid = optimizer.symmetric_grid(SystemConfig(penalty=10))
+        optimizer.sweep(grid)
+        builds = sorted(
+            (span.name, span.attrs.get("slots", -1))
+            for span in _spans(tracer)
+            if span.name in ("imiss.cube", "dmiss.cube")
+        )
+        slots = sorted({config.branch_slots for config in grid})
+        assert builds == [("dmiss.cube", -1)] + [
+            ("imiss.cube", b) for b in slots
+        ]
+
+    @pytest.mark.parametrize("cube_jobs", [1, 2])
+    def test_cross_check_is_fatal_on_every_build_path(
+        self, monkeypatch, cube_jobs
+    ):
+        import os
+
+        import repro.cache.cubepart as cubepart
+
+        sweep = cubepart.direct_mapped_miss_sweep
+
+        def off_by_one(stream, set_counts):
+            return {S: misses + 1 for S, misses in sweep(stream, set_counts).items()}
+
+        session = _small_session(cube_jobs)
+        monkeypatch.setattr(cubepart, "direct_mapped_miss_sweep", off_by_one)
+        if cube_jobs > 1:
+            # Every forked reduce worker dies, so every partition is
+            # reduced — and checked — in the parent.
+            monkeypatch.setattr(
+                cubepart, "_FAULT_PARTS", (os.getpid(), frozenset(range(8)))
+            )
+        with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+            session.icache_miss_cube(0, (4, 8, 16))
+        with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+            session.dcache_miss_cube((4, 8, 16))
+
+
 class TestPartitionedCubePath:
     """cube_jobs plumbing: bundle identity and bit-identical cubes."""
 
@@ -458,3 +585,18 @@ class TestPartitionedCubePath:
             for B in a.hits:
                 for S in a.hits[B]:
                     assert np.array_equal(a.hits[B][S], b.hits[B][S]), (B, S)
+
+    def test_paper_grid_cubes_use_eight_partitions_on_both_sides(self):
+        from repro.obs import Tracer
+
+        session = self._session(cube_jobs=2)
+        tracer = Tracer()
+        session.attach_tracer(tracer)
+        session.icache_miss_cube(0, (4, 8, 16))
+        session.dcache_miss_cube((4, 8, 16))
+        used = {
+            span.attrs["backend"]: span.attrs["partitions"]
+            for span in _spans(tracer)
+            if span.name == "cube.partition"
+        }
+        assert used == {"memory": 8, "spill": 8}

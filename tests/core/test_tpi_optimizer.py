@@ -133,13 +133,15 @@ class TestOptimizer:
         ]
         optimizer.sweep(configs)
         # The sweep must have left whole-cube artifacts behind for both
-        # sides, keyed by the canonical (paper-grid) capacity and ways.
+        # sides, keyed by the canonical (paper-grid) capacity range and
+        # ways.
         assert (
             measurement.store.peek(
                 "dmiss_cube",
                 MISS_CUBE_VERSION,
                 blocks="4",
                 capacity_words=32 * 1024,
+                min_capacity_words=1024,
                 max_ways=8,
             )
             is not None
@@ -151,6 +153,7 @@ class TestOptimizer:
                 slots=base.branch_slots,
                 blocks="4",
                 capacity_words=32 * 1024,
+                min_capacity_words=1024,
                 max_ways=8,
             )
             is not None
